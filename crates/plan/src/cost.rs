@@ -190,19 +190,25 @@ fn sim(
             let lmap: HashMap<&Tag, f64> = lcards.iter().map(|(t, c)| (t, *c)).collect();
             let rmap: HashMap<&Tag, f64> = rcards.iter().map(|(t, c)| (t, *c)).collect();
 
-            // R'_left / R'_right: union of participating slices.
-            let mut part_l: HashMap<&Tag, f64> = HashMap::new();
-            let mut part_r: HashMap<&Tag, f64> = HashMap::new();
+            // R'_left / R'_right: union of participating slices, summed
+            // in first-appearance order of the map entries so the float
+            // result does not depend on hash iteration order.
+            let mut part_l: Vec<(&Tag, f64)> = Vec::new();
+            let mut part_r: Vec<(&Tag, f64)> = Vec::new();
             for e in &map.entries {
                 if let Some(&c) = lmap.get(&e.left) {
-                    part_l.insert(&e.left, c);
+                    if !part_l.iter().any(|(t, _)| *t == &e.left) {
+                        part_l.push((&e.left, c));
+                    }
                 }
                 if let Some(&c) = rmap.get(&e.right) {
-                    part_r.insert(&e.right, c);
+                    if !part_r.iter().any(|(t, _)| *t == &e.right) {
+                        part_r.push((&e.right, c));
+                    }
                 }
             }
-            let r_left: f64 = part_l.values().sum();
-            let r_right: f64 = part_r.values().sum();
+            let r_left: f64 = part_l.iter().map(|(_, c)| c).sum();
+            let r_right: f64 = part_r.iter().map(|(_, c)| c).sum();
             let jsel = est.join_selectivity(&cond.left, &cond.right)?;
 
             // Output cardinalities per entry.
