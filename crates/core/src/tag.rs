@@ -8,37 +8,67 @@
 //!
 //! With the §3.4 extension, assignment values are ternary.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_types::Truth;
 
 /// A set of `⟨expr⟩ = T/F/U` assignments, keyed by interned node id.
-/// Stored sorted, so tags are canonical and usable as hash keys.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+///
+/// Stored as an immutable, shared slice sorted by id, so tags are
+/// canonical and cheap to pass around: planners copy and hash the same
+/// tags millions of times while costing candidate plans. Cloning is a
+/// reference-count bump, hashing writes one precomputed word, and
+/// equality tries pointer identity before comparing assignments.
+#[derive(Clone)]
 pub struct Tag {
-    assignments: Vec<(ExprId, Truth)>,
+    hash: u64,
+    assignments: Arc<[(ExprId, Truth)]>,
 }
 
 impl Tag {
     /// The empty tag `{}` carried by base tagged relations.
     pub fn empty() -> Tag {
-        Tag::default()
+        static EMPTY: OnceLock<Tag> = OnceLock::new();
+        EMPTY.get_or_init(|| Tag::from_sorted(Vec::new())).clone()
+    }
+
+    /// Wrap assignments already sorted by id without duplicates.
+    fn from_sorted(assignments: Vec<(ExprId, Truth)>) -> Tag {
+        debug_assert!(assignments.windows(2).all(|w| w[0].0 < w[1].0));
+        // FxHash-style fold: deterministic across processes.
+        let mut hash = assignments.len() as u64;
+        for &(id, t) in &assignments {
+            let word = (u64::from(id.0) << 2) | t as u64;
+            hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+        Tag {
+            hash,
+            assignments: assignments.into(),
+        }
     }
 
     /// Build from assignment pairs (later duplicates must agree).
     pub fn from_pairs(pairs: impl IntoIterator<Item = (ExprId, Truth)>) -> Tag {
-        let map: BTreeMap<ExprId, Truth> = pairs.into_iter().collect();
-        Tag {
-            assignments: map.into_iter().collect(),
+        let mut v: Vec<(ExprId, Truth)> = pairs.into_iter().collect();
+        // Stable sort, then keep the last pair of each id (map semantics).
+        v.sort_by_key(|&(id, _)| id);
+        let mut out: Vec<(ExprId, Truth)> = Vec::with_capacity(v.len());
+        for p in v {
+            match out.last_mut() {
+                Some(last) if last.0 == p.0 => *last = p,
+                _ => out.push(p),
+            }
         }
+        Tag::from_sorted(out)
     }
 
     pub fn from_map(map: &BTreeMap<ExprId, Truth>) -> Tag {
-        Tag {
-            assignments: map.iter().map(|(&k, &v)| (k, v)).collect(),
-        }
+        Tag::from_sorted(map.iter().map(|(&k, &v)| (k, v)).collect())
     }
 
     pub fn to_map(&self) -> BTreeMap<ExprId, Truth> {
@@ -73,23 +103,44 @@ impl Tag {
     /// A new tag with one more assignment (overwrites any existing one for
     /// the same node).
     pub fn with(&self, id: ExprId, truth: Truth) -> Tag {
-        let mut map = self.to_map();
-        map.insert(id, truth);
-        Tag::from_map(&map)
+        let mut v = self.assignments.to_vec();
+        match v.binary_search_by_key(&id, |&(k, _)| k) {
+            Ok(i) => v[i].1 = truth,
+            Err(i) => v.insert(i, (id, truth)),
+        }
+        Tag::from_sorted(v)
     }
 
     /// Union of two tags. Returns `None` if they assign conflicting values
     /// to the same node (an impossible combination — used by join tag-map
     /// construction to discard unsatisfiable pairings defensively).
     pub fn union(&self, other: &Tag) -> Option<Tag> {
-        let mut map = self.to_map();
-        for (id, t) in other.iter() {
-            match map.insert(id, t) {
-                Some(prev) if prev != t => return None,
-                _ => {}
+        let (a, b) = (&self.assignments[..], &other.assignments[..]);
+        let mut v = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    v.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    v.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    if a[i].1 != b[j].1 {
+                        return None;
+                    }
+                    v.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        Some(Tag::from_map(&map))
+        v.extend_from_slice(&a[i..]);
+        v.extend_from_slice(&b[j..]);
+        Some(Tag::from_sorted(v))
     }
 
     /// Render with expression text, e.g. `{t.year > 2000 = T}`.
@@ -105,6 +156,49 @@ impl Tag {
         }
         s.push('}');
         s
+    }
+}
+
+impl Default for Tag {
+    fn default() -> Tag {
+        Tag::empty()
+    }
+}
+
+impl PartialEq for Tag {
+    fn eq(&self, other: &Tag) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.assignments, &other.assignments)
+                || self.assignments == other.assignments)
+    }
+}
+
+impl Eq for Tag {}
+
+impl Hash for Tag {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Lexicographic over the id-sorted assignments.
+impl Ord for Tag {
+    fn cmp(&self, other: &Tag) -> Ordering {
+        self.assignments.cmp(&other.assignments)
+    }
+}
+
+impl PartialOrd for Tag {
+    fn partial_cmp(&self, other: &Tag) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for Tag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tag")
+            .field("assignments", &&self.assignments[..])
+            .finish()
     }
 }
 
