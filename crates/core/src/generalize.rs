@@ -45,7 +45,7 @@ pub fn generalize_tag(tree: &PredicateTree, tag: &Tag) -> Tag {
 /// and the planner can discard it outright.
 pub fn generalize_tag_closed(
     tree: &PredicateTree,
-    closure: Option<&Closure<'_>>,
+    closure: Option<&Closure>,
     tag: &Tag,
 ) -> Option<Tag> {
     let mut asg = tag.to_map();
@@ -63,7 +63,7 @@ pub fn generalize_tag_closed(
 /// slice belongs to the final result; `Some(False)`/`Some(Unknown)` means
 /// none does (Precept 1 + §3.4); `None` means undetermined — more filters
 /// are needed.
-pub fn root_truth(tree: &PredicateTree, closure: Option<&Closure<'_>>, tag: &Tag) -> Option<Truth> {
+pub fn root_truth(tree: &PredicateTree, closure: Option<&Closure>, tag: &Tag) -> Option<Truth> {
     let mut asg = tag.to_map();
     if let Some(c) = closure {
         if !c.close(&mut asg) {

@@ -17,7 +17,9 @@
 //! the exponential tag blowup the paper warns about.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::sync::Arc;
+
+use basilisk_exec::FxHashMap;
 
 use basilisk_expr::subsume::Closure;
 use basilisk_expr::{ExprId, PredicateTree};
@@ -64,7 +66,7 @@ pub struct FilterTagMap {
     /// list cannot drift out of sync with the hashed index — build a new
     /// map instead of mutating.
     entries: Vec<FilterTagEntry>,
-    index: basilisk_exec::FxHashMap<Tag, u32>,
+    index: FxHashMap<Tag, u32>,
 }
 
 impl FilterTagMap {
@@ -113,28 +115,33 @@ pub struct ProjectionTags {
     pub allowed: Vec<Tag>,
 }
 
-/// Memoization table: one `RefCell<HashMap>` per derived quantity.
-type Memo<K, V> = RefCell<HashMap<K, V>>;
+/// Memoization table: one `RefCell<FxHashMap>` per derived quantity.
+type Memo<K, V> = RefCell<FxHashMap<K, V>>;
 
 /// Plan-time tag-map builder for one query's predicate tree.
 ///
-/// Generalization, redundancy checks and join-pair outputs are memoized:
-/// planners (especially TPullup's pull-one-node search and TCombined's
-/// four-way comparison) re-derive the same tags thousands of times while
-/// costing candidate plans, and the closure fixpoint is the hot path.
-/// Caches are per-builder, i.e. per planning invocation — matching how
-/// the paper measures planning time per run.
+/// Generalization, redundancy checks, join-pair outputs and whole tag
+/// maps are memoized: planners (especially TPullup's pull-one-node search
+/// and TCombined's four-way comparison) re-derive the same tags thousands
+/// of times while costing candidate plans. Maps are shared as
+/// `Arc`s and looked up by the borrowed input tag slices (nested maps
+/// keyed node → input tags, or left tags → right tags), so a cache hit
+/// is a hash probe with no key or map clone.
+///
+/// Every cache lives exactly as long as the builder, and a builder is
+/// made per planning call (`QuerySession::plan`) — matching how the paper
+/// measures planning time per run. Nothing is shared across calls.
 pub struct TagMapBuilder<'t> {
     tree: &'t PredicateTree,
-    closure: Option<Closure<'t>>,
+    closure: Option<Closure>,
     strategy: TagMapStrategy,
     three_valued: bool,
     finish_cache: Memo<Tag, Option<Tag>>,
     redundant_cache: Memo<(ExprId, Tag), bool>,
-    pair_cache: Memo<(Tag, Tag), Option<Tag>>,
+    pair_cache: Memo<Tag, FxHashMap<Tag, Option<Tag>>>,
     root_cache: Memo<Tag, Option<Truth>>,
-    filter_map_cache: Memo<(ExprId, Vec<Tag>), FilterTagMap>,
-    join_map_cache: Memo<(Vec<Tag>, Vec<Tag>), JoinTagMap>,
+    filter_map_cache: Memo<ExprId, FxHashMap<Vec<Tag>, Arc<FilterTagMap>>>,
+    join_map_cache: Memo<Vec<Tag>, FxHashMap<Vec<Tag>, Arc<JoinTagMap>>>,
 }
 
 impl<'t> TagMapBuilder<'t> {
@@ -148,12 +155,12 @@ impl<'t> TagMapBuilder<'t> {
             closure,
             strategy,
             three_valued: false,
-            finish_cache: RefCell::new(HashMap::new()),
-            redundant_cache: RefCell::new(HashMap::new()),
-            pair_cache: RefCell::new(HashMap::new()),
-            root_cache: RefCell::new(HashMap::new()),
-            filter_map_cache: RefCell::new(HashMap::new()),
-            join_map_cache: RefCell::new(HashMap::new()),
+            finish_cache: Memo::default(),
+            redundant_cache: Memo::default(),
+            pair_cache: Memo::default(),
+            root_cache: Memo::default(),
+            filter_map_cache: Memo::default(),
+            join_map_cache: Memo::default(),
         }
     }
 
@@ -234,13 +241,21 @@ impl<'t> TagMapBuilder<'t> {
     /// Build a filter's tag map for the given input tag set (§3.3).
     /// Memoized on `(node, input tag set)` — candidate plans share
     /// unchanged subtrees, so planners hit this cache constantly.
-    pub fn filter_map(&self, node: ExprId, input_tags: &[Tag]) -> FilterTagMap {
-        let key = (node, input_tags.to_vec());
-        if let Some(hit) = self.filter_map_cache.borrow().get(&key) {
-            return hit.clone();
+    pub fn filter_map(&self, node: ExprId, input_tags: &[Tag]) -> Arc<FilterTagMap> {
+        if let Some(hit) = self
+            .filter_map_cache
+            .borrow()
+            .get(&node)
+            .and_then(|by_tags| by_tags.get(input_tags))
+        {
+            return Arc::clone(hit);
         }
-        let map = self.filter_map_uncached(node, input_tags);
-        self.filter_map_cache.borrow_mut().insert(key, map.clone());
+        let map = Arc::new(self.filter_map_uncached(node, input_tags));
+        self.filter_map_cache
+            .borrow_mut()
+            .entry(node)
+            .or_default()
+            .insert(input_tags.to_vec(), Arc::clone(&map));
         map
     }
 
@@ -313,13 +328,21 @@ impl<'t> TagMapBuilder<'t> {
     /// Build a join's tag map over the Cartesian product of input tag
     /// sets, keeping only pairings that can still reach the output (§3.3).
     /// Memoized on the input tag sets.
-    pub fn join_map(&self, left_tags: &[Tag], right_tags: &[Tag]) -> JoinTagMap {
-        let key = (left_tags.to_vec(), right_tags.to_vec());
-        if let Some(hit) = self.join_map_cache.borrow().get(&key) {
-            return hit.clone();
+    pub fn join_map(&self, left_tags: &[Tag], right_tags: &[Tag]) -> Arc<JoinTagMap> {
+        if let Some(hit) = self
+            .join_map_cache
+            .borrow()
+            .get(left_tags)
+            .and_then(|by_right| by_right.get(right_tags))
+        {
+            return Arc::clone(hit);
         }
-        let map = self.join_map_uncached(left_tags, right_tags);
-        self.join_map_cache.borrow_mut().insert(key, map.clone());
+        let map = Arc::new(self.join_map_uncached(left_tags, right_tags));
+        self.join_map_cache
+            .borrow_mut()
+            .entry(left_tags.to_vec())
+            .or_default()
+            .insert(right_tags.to_vec(), Arc::clone(&map));
         map
     }
 
@@ -327,15 +350,22 @@ impl<'t> TagMapBuilder<'t> {
         let mut entries = Vec::new();
         for l in left_tags {
             for r in right_tags {
-                let key = (l.clone(), r.clone());
-                let cached = self.pair_cache.borrow().get(&key).cloned();
+                let cached = self
+                    .pair_cache
+                    .borrow()
+                    .get(l)
+                    .and_then(|by_right| by_right.get(r).cloned());
                 let out = match cached {
                     Some(hit) => hit,
                     None => {
                         // Conflicting unions are impossible pairings;
                         // root-dead outputs are Precept 1 discards.
                         let computed = l.union(r).and_then(|u| self.finish_tag(u));
-                        self.pair_cache.borrow_mut().insert(key, computed.clone());
+                        self.pair_cache
+                            .borrow_mut()
+                            .entry(l.clone())
+                            .or_default()
+                            .insert(r.clone(), computed.clone());
                         computed
                     }
                 };

@@ -25,18 +25,49 @@ use basilisk_types::{Truth, Value};
 use crate::atom::{Atom, CmpOp};
 use crate::tree::{ExprId, PredicateTree};
 
-/// Precomputed closure engine for one predicate tree.
-pub struct Closure<'t> {
-    tree: &'t PredicateTree,
+/// The implication table of one predicate tree, and the closure engine
+/// built on it.
+///
+/// [`Closure::new`] evaluates [`implied_truth`] once for every ordered
+/// atom pair and every source truth value, and keeps the resulting
+/// `(atom, truth) → [(dst, implied)]` edges. [`Closure::close`] then only
+/// walks edges. Two tables compare equal exactly when they encode the
+/// same implications over the same atom ids, which is what makes a plan
+/// built on one tree valid for another congruent tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Closure {
+    /// Atom ids in tree order: the src and dst order of every walk.
     atoms: Vec<ExprId>,
+    /// `edges[node][truth as usize]`: the atoms `(node = truth)` implies,
+    /// in `atoms` order, never `node` itself. Empty for non-atoms.
+    edges: Vec<[Vec<(ExprId, Truth)>; 3]>,
 }
 
-impl<'t> Closure<'t> {
-    pub fn new(tree: &'t PredicateTree) -> Self {
-        Closure {
-            tree,
-            atoms: tree.atom_ids(),
+impl Closure {
+    pub fn new(tree: &PredicateTree) -> Self {
+        let atoms = tree.atom_ids();
+        let mut edges = vec![<[Vec<(ExprId, Truth)>; 3]>::default(); tree.len()];
+        for &src in &atoms {
+            let src_atom = tree.atom(src).expect("atom id");
+            for truth in Truth::ALL {
+                edges[src.index()][truth as usize] = atoms
+                    .iter()
+                    .filter(|&&dst| dst != src)
+                    .filter_map(|&dst| {
+                        let dst_atom = tree.atom(dst).expect("atom id");
+                        implied_truth(src_atom, truth, dst_atom).map(|t| (dst, t))
+                    })
+                    .collect();
+            }
         }
+        Closure { atoms, edges }
+    }
+
+    /// The assignments `(id = truth)` implies on other atoms.
+    pub fn implications(&self, id: ExprId, truth: Truth) -> &[(ExprId, Truth)] {
+        self.edges
+            .get(id.index())
+            .map_or(&[], |by_truth| &by_truth[truth as usize])
     }
 
     /// Extend `assignments` with every implied atom assignment, to
@@ -50,13 +81,8 @@ impl<'t> Closure<'t> {
                 let Some(&truth) = assignments.get(&src) else {
                     continue;
                 };
-                let src_atom = self.tree.atom(src).expect("atom id");
-                for &dst in &self.atoms {
-                    if dst == src || assignments.contains_key(&dst) {
-                        continue;
-                    }
-                    let dst_atom = self.tree.atom(dst).expect("atom id");
-                    if let Some(implied) = implied_truth(src_atom, truth, dst_atom) {
+                for &(dst, implied) in self.implications(src, truth) {
+                    if !assignments.contains_key(&dst) {
                         assignments.insert(dst, implied);
                         changed = true;
                     }
@@ -66,19 +92,12 @@ impl<'t> Closure<'t> {
                 break;
             }
         }
-        // Consistency check: no pair of assignments may contradict.
-        for (i, (&a, &ta)) in assignments.iter().enumerate() {
-            let Some(atom_a) = self.tree.atom(a) else {
-                continue;
-            };
-            for (&b, &tb) in assignments.iter().skip(i + 1) {
-                let Some(atom_b) = self.tree.atom(b) else {
-                    continue;
-                };
-                if let Some(implied) = implied_truth(atom_a, ta, atom_b) {
-                    if implied != tb {
-                        return false;
-                    }
+        // Consistency check: no assignment may contradict what a
+        // lower-id assignment implies.
+        for (&a, &ta) in assignments.iter() {
+            for &(b, implied) in self.implications(a, ta) {
+                if b > a && assignments.get(&b).is_some_and(|&tb| tb != implied) {
+                    return false;
                 }
             }
         }

@@ -9,6 +9,7 @@
 //! cheaper of the two (footnote 4).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use basilisk_catalog::Estimator;
 use basilisk_core::{FilterTagMap, JoinTagMap, ProjectionTags, Tag, TagMapBuilder};
@@ -52,12 +53,12 @@ pub enum TPlan {
     },
     Filter {
         node: ExprId,
-        map: FilterTagMap,
+        map: Arc<FilterTagMap>,
         child: Box<TPlan>,
     },
     Join {
         cond: JoinCond,
-        map: JoinTagMap,
+        map: Arc<JoinTagMap>,
         left: Box<TPlan>,
         right: Box<TPlan>,
     },

@@ -53,7 +53,12 @@ fn golden_text() -> String {
         let mut factored = q.query.clone();
         factored.predicate = factored.predicate.as_ref().map(factor_common_conjuncts);
         render(&mut out, &format!("g{:02}.dnf", q.group), &imdb, q.query);
-        render(&mut out, &format!("g{:02}.factored", q.group), &imdb, factored);
+        render(
+            &mut out,
+            &format!("g{:02}.factored", q.group),
+            &imdb,
+            factored,
+        );
     }
 
     let mut synth = Catalog::new();
@@ -67,8 +72,18 @@ fn golden_text() -> String {
         synth.add_table(t).unwrap();
     }
     for sel in [0.2, 0.5] {
-        render(&mut out, &format!("dnf@{sel}"), &synth, dnf_query(2, sel, None));
-        render(&mut out, &format!("cnf@{sel}"), &synth, cnf_query(2, sel, None));
+        render(
+            &mut out,
+            &format!("dnf@{sel}"),
+            &synth,
+            dnf_query(2, sel, None),
+        );
+        render(
+            &mut out,
+            &format!("cnf@{sel}"),
+            &synth,
+            cnf_query(2, sel, None),
+        );
     }
     out
 }
