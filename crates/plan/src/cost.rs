@@ -8,11 +8,13 @@
 //! lookup and output-index build, with the build side chosen as the
 //! cheaper of the two (footnote 4).
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use basilisk_catalog::Estimator;
 use basilisk_core::{FilterTagMap, JoinTagMap, ProjectionTags, Tag, TagMapBuilder};
+use basilisk_exec::FxHashMap;
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_types::{BasiliskError, Result};
 
@@ -78,7 +80,9 @@ pub struct TaggedAnnotation {
 /// Per-tag cardinality estimates flowing along one plan edge.
 type TagCards = Vec<(Tag, f64)>;
 
-/// Annotate an abstract plan with tag maps and cost it (§4.1).
+/// Annotate an abstract plan with tag maps and cost it (§4.1), with a
+/// memo of its own. Planners cost through a [`TaggedCoster`] that shares
+/// one memo across every candidate of a planning call.
 pub fn annotate_tagged(
     plan: &APlan,
     tree: &PredicateTree,
@@ -86,171 +90,321 @@ pub fn annotate_tagged(
     est: &Estimator,
     cm: &CostModel,
 ) -> Result<TaggedAnnotation> {
-    let mut total = 0.0;
-    let (tplan, cards) = sim(plan, tree, builder, est, cm, &mut total)?;
-    let tags: Vec<Tag> = cards.iter().map(|(t, _)| t.clone()).collect();
-    let projection = builder.projection_tags(&tags);
-    let out_rows = cards
-        .iter()
-        .filter(|(t, _)| projection.allowed.contains(t))
-        .map(|(_, c)| c)
-        .sum();
-    Ok(TaggedAnnotation {
-        plan: tplan,
-        projection,
-        cost: total,
-        out_rows,
-    })
+    let memo = SubtreeMemo::default();
+    TaggedCoster {
+        tree,
+        builder,
+        est,
+        cm,
+        memo: &memo,
+    }
+    .annotate(plan)
 }
 
-fn sim(
-    plan: &APlan,
-    tree: &PredicateTree,
-    builder: &TagMapBuilder<'_>,
-    est: &Estimator,
-    cm: &CostModel,
-    total: &mut f64,
-) -> Result<(TPlan, TagCards)> {
-    match plan {
-        APlan::Scan { alias } => {
-            let rows = est.rows(alias)?;
-            Ok((
-                TPlan::Scan {
-                    alias: alias.clone(),
-                },
-                vec![(Tag::empty(), rows)],
-            ))
-        }
-        APlan::Filter { node, child } => {
-            let (tchild, in_cards) = sim(child, tree, builder, est, cm, total)?;
-            let in_tags: Vec<Tag> = in_cards.iter().map(|(t, _)| t.clone()).collect();
-            let map = builder.filter_map(*node, &in_tags);
-            let f_p = filter_cost_factor(tree, *node);
-            let sel = est.node_selectivity(tree, *node)?;
+/// One simulated operator: its output tag cardinalities, its own cost
+/// increments in the order the simulation adds them, its tag map, and
+/// its simulated inputs.
+struct SimNode {
+    /// Memo identity: equal ids mean structurally equal subtrees.
+    id: u32,
+    cards: TagCards,
+    increments: Vec<f64>,
+    op: SimOp,
+}
 
-            let mut out: HashMap<Tag, f64> = HashMap::new();
-            let mut order: Vec<Tag> = Vec::new();
-            let push = |tag: &Tag, card: f64, out: &mut HashMap<Tag, f64>, order: &mut Vec<Tag>| {
-                if !out.contains_key(tag) {
-                    order.push(tag.clone());
+enum SimOp {
+    Scan,
+    Filter(Arc<FilterTagMap>, Rc<SimNode>),
+    Join(Arc<JoinTagMap>, Rc<SimNode>, Rc<SimNode>),
+}
+
+/// A filter or join, identified by its parameters and its inputs' ids.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum NodeKey {
+    Filter(ExprId, u32),
+    /// Interned join condition, left input, right input.
+    Join(u32, u32, u32),
+}
+
+/// The subtree memo of one planning call.
+///
+/// Candidate plans of TPullup/TIterPush (and the four members of
+/// TCombined) share most of their subtrees, and a subtree's simulation
+/// depends only on its structure. Subtrees are hash-consed bottom-up: a
+/// node's key is its operator plus its inputs' ids, so a lookup is one
+/// probe per operator and nothing under a hit is re-simulated.
+///
+/// **Increment-replay invariant.** A hit adds the node's stored cost
+/// increments to the running total one by one, in the order the original
+/// simulation added them, after its inputs (post-order, exactly as an
+/// unmemoized walk would). The summed cost is therefore bit-identical to
+/// simulating the plan from scratch; `plan_golden` and the memo
+/// differential tests pin this.
+///
+/// The memo must only be used with one `(tree, builder, estimator, cost
+/// model)` — [`crate::planners::PlannerInput`] owns it next to them — and
+/// lives exactly as long as one planning call.
+#[derive(Default)]
+pub struct SubtreeMemo {
+    scans: RefCell<FxHashMap<String, Rc<SimNode>>>,
+    conds: RefCell<FxHashMap<JoinCond, u32>>,
+    ops: RefCell<FxHashMap<NodeKey, Rc<SimNode>>>,
+    next_id: Cell<u32>,
+}
+
+impl SubtreeMemo {
+    fn fresh_id(&self) -> u32 {
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
+        id
+    }
+
+    fn cond_id(&self, cond: &JoinCond) -> u32 {
+        if let Some(&id) = self.conds.borrow().get(cond) {
+            return id;
+        }
+        let id = self.fresh_id();
+        self.conds.borrow_mut().insert(cond.clone(), id);
+        id
+    }
+}
+
+/// Accumulates per-tag cardinalities in first-appearance order.
+#[derive(Default)]
+struct CardAccum {
+    cards: TagCards,
+    index: FxHashMap<Tag, usize>,
+}
+
+impl CardAccum {
+    fn push(&mut self, tag: &Tag, card: f64) {
+        let i = *self.index.entry(tag.clone()).or_insert_with(|| {
+            self.cards.push((tag.clone(), 0.0));
+            self.cards.len() - 1
+        });
+        self.cards[i].1 += card;
+    }
+}
+
+/// Tagged costing for one planning call: the cost-model inputs plus the
+/// call's [`SubtreeMemo`].
+pub struct TaggedCoster<'a> {
+    pub tree: &'a PredicateTree,
+    pub builder: &'a TagMapBuilder<'a>,
+    pub est: &'a Estimator,
+    pub cm: &'a CostModel,
+    pub memo: &'a SubtreeMemo,
+}
+
+impl TaggedCoster<'_> {
+    /// The §4.1 cost of a plan, without materializing its [`TPlan`].
+    pub fn cost(&self, plan: &APlan) -> Result<f64> {
+        let mut total = 0.0;
+        self.sim(plan, &mut total)?;
+        Ok(total)
+    }
+
+    /// Cost a plan and materialize its tag maps and projection.
+    pub fn annotate(&self, plan: &APlan) -> Result<TaggedAnnotation> {
+        let mut total = 0.0;
+        let node = self.sim(plan, &mut total)?;
+        let tags: Vec<Tag> = node.cards.iter().map(|(t, _)| t.clone()).collect();
+        let projection = self.builder.projection_tags(&tags);
+        let out_rows = node
+            .cards
+            .iter()
+            .filter(|(t, _)| projection.allowed.contains(t))
+            .map(|(_, c)| c)
+            .sum();
+        Ok(TaggedAnnotation {
+            plan: materialize(plan, &node),
+            projection,
+            cost: total,
+            out_rows,
+        })
+    }
+
+    /// Simulate `plan` bottom-up through the memo, adding every
+    /// operator's cost increments to `total` in post-order.
+    fn sim(&self, plan: &APlan, total: &mut f64) -> Result<Rc<SimNode>> {
+        let memo = self.memo;
+        let node = match plan {
+            APlan::Scan { alias } => {
+                let hit = memo.scans.borrow().get(alias.as_str()).cloned();
+                match hit {
+                    Some(node) => node,
+                    None => {
+                        let node = Rc::new(SimNode {
+                            id: memo.fresh_id(),
+                            cards: vec![(Tag::empty(), self.est.rows(alias)?)],
+                            increments: Vec::new(),
+                            op: SimOp::Scan,
+                        });
+                        memo.scans
+                            .borrow_mut()
+                            .insert(alias.clone(), Rc::clone(&node));
+                        node
+                    }
                 }
-                *out.entry(tag.clone()).or_insert(0.0) += card;
+            }
+            APlan::Filter { node, child } => {
+                let child = self.sim(child, total)?;
+                let key = NodeKey::Filter(*node, child.id);
+                let hit = memo.ops.borrow().get(&key).cloned();
+                match hit {
+                    Some(hit) => hit,
+                    None => {
+                        let sim = Rc::new(self.sim_filter(*node, child)?);
+                        memo.ops.borrow_mut().insert(key, Rc::clone(&sim));
+                        sim
+                    }
+                }
+            }
+            APlan::Join { cond, left, right } => {
+                let left = self.sim(left, total)?;
+                let right = self.sim(right, total)?;
+                let key = NodeKey::Join(memo.cond_id(cond), left.id, right.id);
+                let hit = memo.ops.borrow().get(&key).cloned();
+                match hit {
+                    Some(hit) => hit,
+                    None => {
+                        let sim = Rc::new(self.sim_join(cond, left, right)?);
+                        memo.ops.borrow_mut().insert(key, Rc::clone(&sim));
+                        sim
+                    }
+                }
+            }
+            APlan::Union { .. } => {
+                return Err(BasiliskError::Plan(
+                    "union operators do not exist under tagged execution".into(),
+                ))
+            }
+        };
+        for inc in &node.increments {
+            *total += inc;
+        }
+        Ok(node)
+    }
+
+    fn sim_filter(&self, node: ExprId, child: Rc<SimNode>) -> Result<SimNode> {
+        let in_tags: Vec<Tag> = child.cards.iter().map(|(t, _)| t.clone()).collect();
+        let map = self.builder.filter_map(node, &in_tags);
+        let f_p = filter_cost_factor(self.tree, node);
+        let sel = self.est.node_selectivity(self.tree, node)?;
+
+        let mut out = CardAccum::default();
+        let mut increments = Vec::new();
+        for (tag, card) in &child.cards {
+            match map.entry_for(tag) {
+                None => out.push(tag, *card),
+                Some(e) => {
+                    // Dead entries (no outputs) are dropped without
+                    // evaluation; live entries cost α·F_P·|R[I]|.
+                    if e.pos.is_some() || e.neg.is_some() || e.unk.is_some() {
+                        increments.push(self.cm.alpha * f_p * card);
+                    }
+                    if let Some(t) = &e.pos {
+                        out.push(t, card * sel);
+                    }
+                    if let Some(t) = &e.neg {
+                        out.push(t, card * (1.0 - sel));
+                    }
+                    // Unknown mass is not modelled separately (the
+                    // estimator has no NULL statistics for predicates,
+                    // so its cardinality share is folded into the
+                    // negative branch above) — but the unknown TAG
+                    // must still flow downstream: join tag maps are
+                    // built from this tag set, and omitting the tag
+                    // would discard the whole unknown slice at the
+                    // next join.
+                    if let Some(t) = &e.unk {
+                        out.push(t, 0.0);
+                    }
+                }
+            }
+        }
+        Ok(SimNode {
+            id: self.memo.fresh_id(),
+            cards: out.cards,
+            increments,
+            op: SimOp::Filter(map, child),
+        })
+    }
+
+    fn sim_join(&self, cond: &JoinCond, left: Rc<SimNode>, right: Rc<SimNode>) -> Result<SimNode> {
+        let (est, cm) = (self.est, self.cm);
+        let ltags: Vec<Tag> = left.cards.iter().map(|(t, _)| t.clone()).collect();
+        let rtags: Vec<Tag> = right.cards.iter().map(|(t, _)| t.clone()).collect();
+        let map = self.builder.join_map(&ltags, &rtags);
+
+        let lidx: FxHashMap<&Tag, usize> = ltags.iter().enumerate().map(|(i, t)| (t, i)).collect();
+        let ridx: FxHashMap<&Tag, usize> = rtags.iter().enumerate().map(|(i, t)| (t, i)).collect();
+
+        // R'_left / R'_right: union of participating slices, summed in
+        // first-appearance order of the map entries so the float result
+        // does not depend on hash iteration order.
+        let (mut seen_l, mut seen_r) = (vec![false; ltags.len()], vec![false; rtags.len()]);
+        let (mut part_l, mut part_r) = (Vec::new(), Vec::new());
+        // Output cardinalities per entry.
+        let mut out = CardAccum::default();
+        let mut out_total = 0.0;
+        let jsel = est.join_selectivity(&cond.left, &cond.right)?;
+        for e in &map.entries {
+            let (l, r) = (lidx.get(&e.left), ridx.get(&e.right));
+            if let Some(&i) = l {
+                if !std::mem::replace(&mut seen_l[i], true) {
+                    part_l.push(left.cards[i].1);
+                }
+            }
+            if let Some(&j) = r {
+                if !std::mem::replace(&mut seen_r[j], true) {
+                    part_r.push(right.cards[j].1);
+                }
+            }
+            let (Some(&i), Some(&j)) = (l, r) else {
+                continue;
             };
-            for (tag, card) in &in_cards {
-                match map.entry_for(tag) {
-                    None => push(tag, *card, &mut out, &mut order),
-                    Some(e) => {
-                        // Dead entries (no outputs) are dropped without
-                        // evaluation; live entries cost α·F_P·|R[I]|.
-                        if e.pos.is_some() || e.neg.is_some() || e.unk.is_some() {
-                            *total += cm.alpha * f_p * card;
-                        }
-                        if let Some(t) = &e.pos {
-                            push(t, card * sel, &mut out, &mut order);
-                        }
-                        if let Some(t) = &e.neg {
-                            push(t, card * (1.0 - sel), &mut out, &mut order);
-                        }
-                        // Unknown mass is not modelled separately (the
-                        // estimator has no NULL statistics for predicates,
-                        // so its cardinality share is folded into the
-                        // negative branch above) — but the unknown TAG
-                        // must still flow downstream: join tag maps are
-                        // built from this tag set, and omitting the tag
-                        // would discard the whole unknown slice at the
-                        // next join.
-                        if let Some(t) = &e.unk {
-                            push(t, 0.0, &mut out, &mut order);
-                        }
-                    }
-                }
-            }
-            let out_cards: TagCards = order
-                .into_iter()
-                .map(|t| {
-                    let c = out[&t];
-                    (t, c)
-                })
-                .collect();
-            Ok((
-                TPlan::Filter {
-                    node: *node,
-                    map,
-                    child: Box::new(tchild),
-                },
-                out_cards,
-            ))
+            let c = left.cards[i].1 * right.cards[j].1 * jsel;
+            out_total += c;
+            out.push(&e.out, c);
         }
-        APlan::Join { cond, left, right } => {
-            let (tleft, lcards) = sim(left, tree, builder, est, cm, total)?;
-            let (tright, rcards) = sim(right, tree, builder, est, cm, total)?;
-            let ltags: Vec<Tag> = lcards.iter().map(|(t, _)| t.clone()).collect();
-            let rtags: Vec<Tag> = rcards.iter().map(|(t, _)| t.clone()).collect();
-            let map = builder.join_map(&ltags, &rtags);
+        let r_left: f64 = part_l.iter().sum();
+        let r_right: f64 = part_r.iter().sum();
 
-            let lmap: HashMap<&Tag, f64> = lcards.iter().map(|(t, c)| (t, *c)).collect();
-            let rmap: HashMap<&Tag, f64> = rcards.iter().map(|(t, c)| (t, *c)).collect();
+        // Build side: cheaper of the two (footnote 4).
+        let unique_l = r_left.min(est.ndv(&cond.left)?);
+        let unique_r = r_right.min(est.ndv(&cond.right)?);
+        let build_left =
+            cm.f_hash_lookup * r_left + cm.f_hash_build * unique_l + cm.f_hash_lookup * r_right;
+        let build_right =
+            cm.f_hash_lookup * r_right + cm.f_hash_build * unique_r + cm.f_hash_lookup * r_left;
+        Ok(SimNode {
+            id: self.memo.fresh_id(),
+            cards: out.cards,
+            increments: vec![build_left.min(build_right) + cm.f_index_build * out_total],
+            op: SimOp::Join(map, left, right),
+        })
+    }
+}
 
-            // R'_left / R'_right: union of participating slices, summed
-            // in first-appearance order of the map entries so the float
-            // result does not depend on hash iteration order.
-            let mut part_l: Vec<(&Tag, f64)> = Vec::new();
-            let mut part_r: Vec<(&Tag, f64)> = Vec::new();
-            for e in &map.entries {
-                if let Some(&c) = lmap.get(&e.left) {
-                    if !part_l.iter().any(|(t, _)| *t == &e.left) {
-                        part_l.push((&e.left, c));
-                    }
-                }
-                if let Some(&c) = rmap.get(&e.right) {
-                    if !part_r.iter().any(|(t, _)| *t == &e.right) {
-                        part_r.push((&e.right, c));
-                    }
-                }
-            }
-            let r_left: f64 = part_l.iter().map(|(_, c)| c).sum();
-            let r_right: f64 = part_r.iter().map(|(_, c)| c).sum();
-            let jsel = est.join_selectivity(&cond.left, &cond.right)?;
-
-            // Output cardinalities per entry.
-            let mut out: HashMap<Tag, f64> = HashMap::new();
-            let mut order: Vec<Tag> = Vec::new();
-            let mut out_total = 0.0;
-            for e in &map.entries {
-                let (Some(&lc), Some(&rc)) = (lmap.get(&e.left), rmap.get(&e.right)) else {
-                    continue;
-                };
-                let c = lc * rc * jsel;
-                out_total += c;
-                if !out.contains_key(&e.out) {
-                    order.push(e.out.clone());
-                }
-                *out.entry(e.out.clone()).or_insert(0.0) += c;
-            }
-
-            // Build side: cheaper of the two (footnote 4).
-            let unique_l = r_left.min(est.ndv(&cond.left)?);
-            let unique_r = r_right.min(est.ndv(&cond.right)?);
-            let build_left =
-                cm.f_hash_lookup * r_left + cm.f_hash_build * unique_l + cm.f_hash_lookup * r_right;
-            let build_right =
-                cm.f_hash_lookup * r_right + cm.f_hash_build * unique_r + cm.f_hash_lookup * r_left;
-            *total += build_left.min(build_right) + cm.f_index_build * out_total;
-
-            let out_cards: TagCards = order.into_iter().map(|t| (t.clone(), out[&t])).collect();
-            Ok((
-                TPlan::Join {
-                    cond: cond.clone(),
-                    map,
-                    left: Box::new(tleft),
-                    right: Box::new(tright),
-                },
-                out_cards,
-            ))
-        }
-        APlan::Union { .. } => Err(BasiliskError::Plan(
-            "union operators do not exist under tagged execution".into(),
-        )),
+/// Build the [`TPlan`] of a simulated plan by sharing the memo's maps.
+fn materialize(plan: &APlan, node: &SimNode) -> TPlan {
+    match (plan, &node.op) {
+        (APlan::Filter { node: id, child }, SimOp::Filter(map, sim_child)) => TPlan::Filter {
+            node: *id,
+            map: Arc::clone(map),
+            child: Box::new(materialize(child, sim_child)),
+        },
+        (APlan::Join { cond, left, right }, SimOp::Join(map, sim_left, sim_right)) => TPlan::Join {
+            cond: cond.clone(),
+            map: Arc::clone(map),
+            left: Box::new(materialize(left, sim_left)),
+            right: Box::new(materialize(right, sim_right)),
+        },
+        (APlan::Scan { alias }, SimOp::Scan) => TPlan::Scan {
+            alias: alias.clone(),
+        },
+        _ => unreachable!("simulation mirrors the plan's shape"),
     }
 }
 

@@ -28,7 +28,10 @@ mod query;
 mod session;
 
 pub use aplan::APlan;
-pub use cost::{annotate_tagged, cost_traditional, CostModel, TPlan, TaggedAnnotation};
+pub use cost::{
+    annotate_tagged, cost_traditional, CostModel, SubtreeMemo, TPlan, TaggedAnnotation,
+    TaggedCoster,
+};
 pub use executor::{
     execute_tagged, execute_tagged_traced, execute_tagged_with, execute_traditional,
     execute_traditional_traced, execute_traditional_with,

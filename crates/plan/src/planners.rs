@@ -35,7 +35,7 @@ use basilisk_types::{BasiliskError, Result};
 
 use crate::aplan::APlan;
 use crate::benefit::benefiting_order;
-use crate::cost::{annotate_tagged, cost_traditional, CostModel, TaggedAnnotation};
+use crate::cost::{cost_traditional, CostModel, SubtreeMemo, TaggedAnnotation, TaggedCoster};
 use crate::join_order::{greedy_join_tree, local_survival};
 use crate::query::Query;
 
@@ -89,13 +89,47 @@ impl std::fmt::Display for PlannerKind {
     }
 }
 
-/// Everything a planner needs.
+/// Everything a planner needs, plus the subtree memo of this planning
+/// call: every candidate a tagged planner costs (across all four
+/// TCombined members) goes through the same memo, which is dropped with
+/// the input.
 pub struct PlannerInput<'a> {
     pub query: &'a Query,
     pub tree: &'a PredicateTree,
     pub est: &'a Estimator,
     pub builder: &'a TagMapBuilder<'a>,
     pub cm: &'a CostModel,
+    memo: SubtreeMemo,
+}
+
+impl<'a> PlannerInput<'a> {
+    pub fn new(
+        query: &'a Query,
+        tree: &'a PredicateTree,
+        est: &'a Estimator,
+        builder: &'a TagMapBuilder<'a>,
+        cm: &'a CostModel,
+    ) -> Self {
+        PlannerInput {
+            query,
+            tree,
+            est,
+            builder,
+            cm,
+            memo: SubtreeMemo::default(),
+        }
+    }
+
+    /// Tagged costing through this call's memo.
+    pub fn coster(&self) -> TaggedCoster<'_> {
+        TaggedCoster {
+            tree: self.tree,
+            builder: self.builder,
+            est: self.est,
+            cm: self.cm,
+            memo: &self.memo,
+        }
+    }
 }
 
 /// A planned query, ready for execution.
@@ -148,7 +182,7 @@ pub fn plan(kind: PlannerKind, input: &PlannerInput<'_>) -> Result<PlannedQuery>
 }
 
 fn tagged(input: &PlannerInput<'_>, aplan: APlan, chosen: PlannerKind) -> Result<PlannedQuery> {
-    let ann = annotate_tagged(&aplan, input.tree, input.builder, input.est, input.cm)?;
+    let ann = input.coster().annotate(&aplan)?;
     Ok(PlannedQuery::Tagged { aplan, ann, chosen })
 }
 
@@ -199,9 +233,9 @@ pub fn t_pushdown(input: &PlannerInput<'_>) -> Result<APlan> {
 /// the paper proposes in §5.2 (extension; the faithful Algorithm 2 costs
 /// every single-node pull).
 pub fn t_pullup(input: &PlannerInput<'_>, junctures_only: bool) -> Result<PlannedQuery> {
-    let base = t_pushdown(input)?;
-    let mut best_ann = annotate_tagged(&base, input.tree, input.builder, input.est, input.cm)?;
-    let mut best_plan = base;
+    let coster = input.coster();
+    let mut best_plan = t_pushdown(input)?;
+    let mut best_cost = coster.cost(&best_plan)?;
 
     let mut order = benefiting_order(input.tree, input.est, &input.tree.atom_ids())?;
     order.reverse();
@@ -212,19 +246,18 @@ pub fn t_pullup(input: &PlannerInput<'_>, junctures_only: bool) -> Result<Planne
                 break;
             };
             if !junctures_only || candidate.filter_sits_on_join(filter) {
-                let cand_ann =
-                    annotate_tagged(&candidate, input.tree, input.builder, input.est, input.cm)?;
-                if cand_ann.cost < best_ann.cost {
+                let cand_cost = coster.cost(&candidate)?;
+                if cand_cost < best_cost {
                     best_plan = candidate.clone();
-                    best_ann = cand_ann;
+                    best_cost = cand_cost;
                 }
             }
             new_plan = candidate;
         }
     }
     Ok(PlannedQuery::Tagged {
+        ann: coster.annotate(&best_plan)?,
         aplan: best_plan,
-        ann: best_ann,
         chosen: if junctures_only {
             PlannerKind::TPullupJoin
         } else {
@@ -256,7 +289,8 @@ pub fn t_iterpush(input: &PlannerInput<'_>) -> Result<PlannedQuery> {
     for &node in &order {
         plan = APlan::filter(node, plan);
     }
-    let mut best_ann = annotate_tagged(&plan, input.tree, input.builder, input.est, input.cm)?;
+    let coster = input.coster();
+    let mut best_cost = coster.cost(&plan)?;
     let mut best_plan = plan;
 
     for &filter in &order {
@@ -273,15 +307,15 @@ pub fn t_iterpush(input: &PlannerInput<'_>) -> Result<PlannedQuery> {
         let Some(candidate) = removed.insert_filter_above_scan(filter, &alias) else {
             continue;
         };
-        let cand_ann = annotate_tagged(&candidate, input.tree, input.builder, input.est, input.cm)?;
-        if cand_ann.cost < best_ann.cost {
+        let cand_cost = coster.cost(&candidate)?;
+        if cand_cost < best_cost {
             best_plan = candidate;
-            best_ann = cand_ann;
+            best_cost = cand_cost;
         }
     }
     Ok(PlannedQuery::Tagged {
+        ann: coster.annotate(&best_plan)?,
         aplan: best_plan,
-        ann: best_ann,
         chosen: PlannerKind::TIterPush,
     })
 }
@@ -514,13 +548,7 @@ mod tests {
     fn run_planner(f: &Fixture, kind: PlannerKind) -> PlannedQuery {
         let builder =
             TagMapBuilder::new(&f.tree, TagMapStrategy::Generalized { use_closure: true });
-        let input = PlannerInput {
-            query: &f.query,
-            tree: &f.tree,
-            est: &f.est,
-            builder: &builder,
-            cm: &f.cm,
-        };
+        let input = PlannerInput::new(&f.query, &f.tree, &f.est, &builder, &f.cm);
         plan(kind, &input).unwrap()
     }
 

@@ -408,13 +408,7 @@ impl QuerySession {
             )?));
         };
         let builder = TagMapBuilder::new(tree, self.strategy).with_three_valued(self.three_valued);
-        let input = PlannerInput {
-            query: &self.query,
-            tree,
-            est: &self.est,
-            builder: &builder,
-            cm: &self.cm,
-        };
+        let input = PlannerInput::new(&self.query, tree, &self.est, &builder, &self.cm);
         Ok(Plan::WithPredicate(run_planner(kind, &input)?))
     }
 
