@@ -40,6 +40,29 @@ fn walk_up(
     }
 }
 
+/// Whether a filter with ancestor paths `u_paths` is an AND- and/or an
+/// OR-descendant of the filter whose parents are `parents`: the relevant
+/// parent must appear on **every** path.
+fn descendant_relation(
+    tree: &PredicateTree,
+    parents: &[ExprId],
+    u_paths: &[Vec<ExprId>],
+) -> (bool, bool) {
+    let mut is_and_descendant = true;
+    let mut is_or_descendant = true;
+    for path in u_paths {
+        // "if ∀parent ∈ parents(to_score), parent ∉ path ∨ isOr(parent)
+        //  then is_and_descendant ← false"
+        if parents.iter().all(|p| !path.contains(p) || tree.is_or(*p)) {
+            is_and_descendant = false;
+        }
+        if parents.iter().all(|p| !path.contains(p) || tree.is_and(*p)) {
+            is_or_descendant = false;
+        }
+    }
+    (is_and_descendant, is_or_descendant)
+}
+
 /// `CalcBenefitScore` (Algorithm 3): the benefit of applying `to_score`
 /// before every filter in `unapplied`.
 pub fn benefit_score(
@@ -55,22 +78,11 @@ pub fn benefit_score(
         if u == to_score {
             continue;
         }
-        let mut is_and_descendant = true;
-        let mut is_or_descendant = true;
-        for path in ancestor_paths(tree, u) {
-            // "if ∀parent ∈ parents(to_score), parent ∉ path ∨ isOr(parent)
-            //  then is_and_descendant ← false"
-            if parents.iter().all(|p| !path.contains(p) || tree.is_or(*p)) {
-                is_and_descendant = false;
-            }
-            if parents.iter().all(|p| !path.contains(p) || tree.is_and(*p)) {
-                is_or_descendant = false;
-            }
-        }
-        if is_and_descendant {
+        let (is_and, is_or) = descendant_relation(tree, parents, &ancestor_paths(tree, u));
+        if is_and {
             benefit += 1.0 - sel;
         }
-        if is_or_descendant {
+        if is_or {
             benefit += sel;
         }
     }
@@ -89,32 +101,66 @@ pub fn filter_cost_factor(tree: &PredicateTree, node: ExprId) -> f64 {
 /// Sort filters into benefiting order: repeatedly pick the filter with the
 /// highest `benefit / cost-factor` with respect to the filters still
 /// unapplied (ties broken by node id for determinism).
+///
+/// The AND/OR-descendant relation of every filter pair, each filter's
+/// selectivity and its cost factor are computed once up front, so the
+/// greedy loop only sums. Each score adds the same terms in the same
+/// order as [`benefit_score`] over the remaining filters.
 pub fn benefiting_order(
     tree: &PredicateTree,
     est: &Estimator,
     filters: &[ExprId],
 ) -> Result<Vec<ExprId>> {
-    let mut remaining: Vec<ExprId> = filters.to_vec();
-    let mut out = Vec::with_capacity(remaining.len());
+    let sel: Vec<f64> = filters
+        .iter()
+        .map(|&f| est.node_selectivity(tree, f))
+        .collect::<Result<_>>()?;
+    let paths: Vec<Vec<Vec<ExprId>>> = filters.iter().map(|&f| ancestor_paths(tree, f)).collect();
+    // relation[i][j]: is filters[j] an (AND, OR)-descendant of filters[i]?
+    let relation: Vec<Vec<(bool, bool)>> = filters
+        .iter()
+        .map(|&f| {
+            let parents = tree.parents(f);
+            paths
+                .iter()
+                .map(|p| descendant_relation(tree, parents, p))
+                .collect()
+        })
+        .collect();
+
+    let mut remaining: Vec<usize> = (0..filters.len()).collect();
+    let mut out = Vec::with_capacity(filters.len());
     while !remaining.is_empty() {
         let mut best: Option<(usize, f64)> = None;
-        for (i, &f) in remaining.iter().enumerate() {
-            let others: Vec<ExprId> = remaining.iter().copied().filter(|&g| g != f).collect();
-            let b = benefit_score(tree, est, f, &others)?;
+        for (pos, &i) in remaining.iter().enumerate() {
+            let f = filters[i];
+            let mut b = 0.0;
+            for &j in &remaining {
+                if filters[j] == f {
+                    continue;
+                }
+                let (is_and, is_or) = relation[i][j];
+                if is_and {
+                    b += 1.0 - sel[i];
+                }
+                if is_or {
+                    b += sel[i];
+                }
+            }
             let score = b / filter_cost_factor(tree, f).max(1e-9);
             let better = match best {
                 None => true,
-                Some((_, s)) => {
+                Some((bpos, s)) => {
                     score > s + 1e-12
-                        || ((score - s).abs() <= 1e-12 && f < remaining[best.unwrap().0])
+                        || ((score - s).abs() <= 1e-12 && f < filters[remaining[bpos]])
                 }
             };
             if better {
-                best = Some((i, score));
+                best = Some((pos, score));
             }
         }
-        let (i, _) = best.expect("non-empty remaining");
-        out.push(remaining.remove(i));
+        let (pos, _) = best.expect("non-empty remaining");
+        out.push(filters[remaining.remove(pos)]);
     }
     Ok(out)
 }
