@@ -320,6 +320,65 @@ mod tests {
         assert_eq!(order, vec![lt, like]);
     }
 
+    /// The greedy loop as written before the relation was precomputed:
+    /// `benefit_score` against the remaining filters on every round.
+    fn reference_order(tree: &PredicateTree, est: &Estimator, filters: &[ExprId]) -> Vec<ExprId> {
+        let mut remaining: Vec<ExprId> = filters.to_vec();
+        let mut out = Vec::new();
+        while !remaining.is_empty() {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &f) in remaining.iter().enumerate() {
+                let others: Vec<ExprId> = remaining.iter().copied().filter(|&g| g != f).collect();
+                let b = benefit_score(tree, est, f, &others).unwrap();
+                let score = b / filter_cost_factor(tree, f).max(1e-9);
+                let better = match best {
+                    None => true,
+                    Some((bi, s)) => {
+                        score > s + 1e-12 || ((score - s).abs() <= 1e-12 && f < remaining[bi])
+                    }
+                };
+                if better {
+                    best = Some((i, score));
+                }
+            }
+            out.push(remaining.remove(best.unwrap().0));
+        }
+        out
+    }
+
+    #[test]
+    fn benefiting_order_matches_per_round_scoring() {
+        let a = || col("t", "a").lt(10i64);
+        let exprs = [
+            or(vec![
+                and(vec![a(), col("t", "b").lt(20i64)]),
+                and(vec![a(), col("t", "c").lt(30i64)]),
+                and(vec![col("t", "d").lt(70i64), col("t", "b").lt(45i64)]),
+            ]),
+            and(vec![
+                or(vec![a(), col("t", "b").lt(50i64), col("t", "c").lt(5i64)]),
+                or(vec![
+                    and(vec![col("t", "d").lt(90i64), col("t", "c").lt(60i64)]),
+                    a(),
+                ]),
+                col("t", "d").lt(33i64),
+            ]),
+        ];
+        for e in &exprs {
+            let (tree, est) = setup(e);
+            let atoms = tree.atom_ids();
+            let mut reversed = atoms.clone();
+            reversed.reverse();
+            for filters in [atoms, reversed] {
+                assert_eq!(
+                    benefiting_order(&tree, &est, &filters).unwrap(),
+                    reference_order(&tree, &est, &filters),
+                    "{e}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn filter_cost_factor_sums_atoms() {
         let e = or(vec![
