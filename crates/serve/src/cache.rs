@@ -22,6 +22,7 @@ use basilisk_types::sync::{Arc, Mutex};
 use std::collections::HashMap;
 
 use basilisk_exec::TableSet;
+use basilisk_expr::subsume::Closure;
 use basilisk_expr::PredicateTree;
 use basilisk_plan::{Plan, PlannerKind, Query};
 use basilisk_types::Value;
@@ -36,6 +37,9 @@ pub struct PreparedStatement {
     /// The predicate tree the cached plan's `ExprId`s address — the
     /// congruence reference for rebinding.
     pub(crate) tree: Option<PredicateTree>,
+    /// The implication table of `tree`, for tagged plans only: their
+    /// tag maps are valid for a rebinding only if it implies alike.
+    pub(crate) implications: Option<Closure>,
     pub(crate) param_count: usize,
     pub(crate) plan: Plan,
     pub(crate) planner: PlannerKind,

@@ -34,9 +34,10 @@
 //!   by the normalized text; [`Server::execute_prepared`] binds fresh
 //!   values and re-drives the cached plan — **zero parse, zero plan**.
 //!   [`Server::sql`] routes through the same cache (with an extra
-//!   raw-text level so byte-identical repeats skip even lexing). A
-//!   congruence guard re-plans the rare binding whose literal values
-//!   change the predicate DAG (content interning can merge equal atoms).
+//!   raw-text level so byte-identical repeats skip even lexing). Guards
+//!   re-plan the rare binding whose literal values change the predicate
+//!   DAG (content interning can merge equal atoms) or, for tagged plans,
+//!   the implications between atoms the tag maps were built on.
 //! * **Observability.** [`ServeStats`] snapshots cache
 //!   hits/misses/evictions, admission-queue depth and high-water mark,
 //!   per-lane admission counters, and a power-of-two latency histogram.

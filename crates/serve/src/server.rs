@@ -24,10 +24,12 @@
 //!   allocates nothing once each context's pools are warm.
 //! * **The plan cache** keys on normalized statement text (literals →
 //!   `?n`); hits bind fresh literal values into the cached template and
-//!   re-drive the cached plan — zero parse, zero plan. A congruence
-//!   guard re-plans the rare binding whose literal values change the
-//!   predicate DAG itself (see
-//!   [`PredicateTree::congruent_modulo_values`]).
+//!   re-drive the cached plan — zero parse, zero plan. Two guards
+//!   re-plan the rare binding the cached plan does not fit: one whose
+//!   literal values change the predicate DAG itself (see
+//!   [`PredicateTree::congruent_modulo_values`]), and, for tagged plans,
+//!   one whose literals imply differently between atoms (the tag maps
+//!   were built on the prepare-time [`Closure`] implication table).
 //!
 //! [`Server::submit`] is the one public entry point (a [`Request`] in, a
 //! [`Response`] or typed [`ServeError`] out — what the wire layer
@@ -38,6 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use basilisk_catalog::{Catalog, Estimator};
+use basilisk_expr::subsume::Closure;
 use basilisk_expr::{ColumnRef, PredicateTree};
 use basilisk_plan::{
     ExecContext, Plan, PlanTimings, PlannerKind, Query, QueryOutput, QuerySession,
@@ -559,10 +562,15 @@ impl Server {
         // so it needs no workers and warms no arena.
         let session = QuerySession::new(&self.catalog, query)?.with_context(ExecContext::new(1));
         let plan = session.plan(planner)?;
+        let implications = match (plan.chosen_planner(), session.tree()) {
+            (Some(_), Some(tree)) => Some(Closure::new(tree)),
+            _ => None,
+        };
         Ok(Arc::new(PreparedStatement {
             key,
             query: session.query().clone(),
             tree: session.tree().cloned(),
+            implications,
             param_count,
             chosen: plan.chosen_planner(),
             plan,
@@ -597,11 +605,14 @@ impl Server {
                 self.stats.error();
             })?);
         }
-        // Two reasons the cached plan may not be reusable for this
-        // binding, both rare and both re-planned on the spot:
+        // Three reasons the cached plan may not be reusable for this
+        // binding, all rare and all re-planned on the spot:
         //  * congruence — the plan addresses the prepare-time predicate
         //    DAG by node id, and a binding whose values collapse or
         //    split nodes changes the DAG;
+        //  * implications — a tagged plan's tag maps encode which atom
+        //    outcomes imply which (`year > 2015 ⇒ year > 2005`), and a
+        //    binding that reorders the literals changes those edges;
         //  * NULL upgrade — a NULL bound into a statement planned
         //    two-valued makes its atom evaluate to unknown on every
         //    row, which only three-valued tag maps handle (the re-plan
@@ -612,8 +623,12 @@ impl Server {
             (Some(a), Some(b)) => a.congruent_modulo_values(b),
             _ => false,
         };
+        let same_implications = match (&stmt.implications, &bound_tree) {
+            (Some(table), Some(b)) => congruent && *table == Closure::new(b),
+            _ => true,
+        };
         let null_upgrade = !stmt.three_valued && params.iter().any(|v| matches!(v, Value::Null));
-        let reusable = congruent && !null_upgrade;
+        let reusable = congruent && same_implications && !null_upgrade;
         let bind_time = t_bind.elapsed();
         if let (Some(t), Some(s)) = (tracer.as_ref(), plan_span) {
             t.attr(s, "cache_hit", i64::from(cache_hit && reusable));
