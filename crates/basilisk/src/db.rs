@@ -457,7 +457,27 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.row_count, 6, "all scored movies");
-        assert_eq!(db.serve_stats().statements_prepared, 1);
+        // `year > 0` / `year > 1` (and the scores) imply each other the
+        // other way round than the prepare-time literals, so the cached
+        // tag maps do not fit and this binding re-plans.
+        assert_eq!(db.serve_stats().statements_prepared, 2);
+        let r = db
+            .execute_prepared(
+                &stmt,
+                &[
+                    Value::Int(2001),
+                    Value::from("7.5"),
+                    Value::Int(1990),
+                    Value::from("8.5"),
+                ],
+            )
+            .unwrap();
+        assert!(r.row_count > 0);
+        assert_eq!(
+            db.serve_stats().statements_prepared,
+            2,
+            "a binding that implies alike reuses the cached plan"
+        );
     }
 
     #[test]
