@@ -19,8 +19,6 @@
 //! node) is covered, which is what lets tagged execution evaluate each
 //! duplicated predicate exactly once.
 
-use std::collections::BTreeMap;
-
 use basilisk_expr::subsume::Closure;
 use basilisk_expr::{ExprId, NodeKind, PredicateTree};
 use basilisk_types::Truth;
@@ -29,9 +27,9 @@ use crate::tag::Tag;
 
 /// Pure Algorithm 1: generalize a tag by Boolean propagation only.
 pub fn generalize_tag(tree: &PredicateTree, tag: &Tag) -> Tag {
-    let mut asg = tag.to_map();
-    propagate(tree, &mut asg);
-    topmost(tree, &asg)
+    let mut slots = slots_of(tree, tag);
+    propagate(tree, &mut slots);
+    topmost(tree, &slots)
 }
 
 /// Generalize with the atom-implication closure applied first (the
@@ -48,14 +46,14 @@ pub fn generalize_tag_closed(
     closure: Option<&Closure>,
     tag: &Tag,
 ) -> Option<Tag> {
-    let mut asg = tag.to_map();
+    let mut slots = slots_of(tree, tag);
     if let Some(c) = closure {
-        if !c.close(&mut asg) {
+        if !c.close(&mut slots) {
             return None;
         }
     }
-    propagate(tree, &mut asg);
-    Some(topmost(tree, &asg))
+    propagate(tree, &mut slots);
+    Some(topmost(tree, &slots))
 }
 
 /// The truth value of the *root* (the query's whole predicate expression)
@@ -64,61 +62,75 @@ pub fn generalize_tag_closed(
 /// none does (Precept 1 + §3.4); `None` means undetermined — more filters
 /// are needed.
 pub fn root_truth(tree: &PredicateTree, closure: Option<&Closure>, tag: &Tag) -> Option<Truth> {
-    let mut asg = tag.to_map();
+    let mut slots = slots_of(tree, tag);
     if let Some(c) = closure {
-        if !c.close(&mut asg) {
+        if !c.close(&mut slots) {
             // Unsatisfiable slice: treat as "never in the result".
             return Some(Truth::False);
         }
     }
-    propagate(tree, &mut asg);
-    asg.get(&tree.root()).copied()
+    propagate(tree, &mut slots);
+    slots[tree.root().index()]
 }
 
-/// Fringe-based upward propagation (the core loop of Algorithm 1).
-fn propagate(tree: &PredicateTree, asg: &mut BTreeMap<ExprId, Truth>) {
-    let mut fringe: Vec<ExprId> = asg.keys().copied().collect();
+/// A tag's assignments as dense per-node slots (see [`Closure::close`]).
+pub(crate) fn slots_of(tree: &PredicateTree, tag: &Tag) -> Vec<Option<Truth>> {
+    let mut slots = vec![None; tree.len()];
+    for (id, t) in tag.iter() {
+        slots[id.index()] = Some(t);
+    }
+    slots
+}
+
+/// Fringe-based upward propagation (the core loop of Algorithm 1). The
+/// fringe starts with every assigned node in id order and is worked from
+/// its end.
+fn propagate(tree: &PredicateTree, slots: &mut [Option<Truth>]) {
+    let mut fringe: Vec<ExprId> = tree
+        .ids()
+        .filter(|id| slots[id.index()].is_some())
+        .collect();
+    let get = |slots: &[Option<Truth>], id: &ExprId| slots[id.index()];
     while let Some(pred) = fringe.pop() {
-        let value = asg[&pred];
+        let value = get(slots, &pred).expect("fringe nodes are assigned");
         for &parent in tree.parents(pred) {
-            if asg.contains_key(&parent) {
+            if get(slots, &parent).is_some() {
                 continue;
             }
-            let propagated = match tree.kind(parent) {
-                // (a) NOT always propagates, negating.
-                NodeKind::Not(_) => Some(value.not()),
-                NodeKind::Or(children) => {
-                    if value == Truth::True {
-                        // (b) true short-circuits OR.
-                        Some(Truth::True)
-                    } else if children
-                        .iter()
-                        .all(|c| matches!(asg.get(c), Some(Truth::False) | Some(Truth::Unknown)))
-                    {
-                        // (d) all children false/unknown: 3VL OR-fold.
-                        Some(Truth::any(children.iter().map(|c| asg[c])))
-                    } else {
-                        None
+            let propagated =
+                match tree.kind(parent) {
+                    // (a) NOT always propagates, negating.
+                    NodeKind::Not(_) => Some(value.not()),
+                    NodeKind::Or(children) => {
+                        if value == Truth::True {
+                            // (b) true short-circuits OR.
+                            Some(Truth::True)
+                        } else if children.iter().all(|c| {
+                            matches!(get(slots, c), Some(Truth::False) | Some(Truth::Unknown))
+                        }) {
+                            // (d) all children false/unknown: 3VL OR-fold.
+                            Some(Truth::any(children.iter().map(|c| get(slots, c).unwrap())))
+                        } else {
+                            None
+                        }
                     }
-                }
-                NodeKind::And(children) => {
-                    if value == Truth::False {
-                        // (c) false short-circuits AND.
-                        Some(Truth::False)
-                    } else if children
-                        .iter()
-                        .all(|c| matches!(asg.get(c), Some(Truth::True) | Some(Truth::Unknown)))
-                    {
-                        // (e) all children true/unknown: 3VL AND-fold.
-                        Some(Truth::all(children.iter().map(|c| asg[c])))
-                    } else {
-                        None
+                    NodeKind::And(children) => {
+                        if value == Truth::False {
+                            // (c) false short-circuits AND.
+                            Some(Truth::False)
+                        } else if children.iter().all(|c| {
+                            matches!(get(slots, c), Some(Truth::True) | Some(Truth::Unknown))
+                        }) {
+                            // (e) all children true/unknown: 3VL AND-fold.
+                            Some(Truth::all(children.iter().map(|c| get(slots, c).unwrap())))
+                        } else {
+                            None
+                        }
                     }
-                }
-                NodeKind::Atom(_) => unreachable!("atoms have no children"),
-            };
+                    NodeKind::Atom(_) => unreachable!("atoms have no children"),
+                };
             if let Some(v) = propagated {
-                asg.insert(parent, v);
+                slots[parent.index()] = Some(v);
                 fringe.push(parent);
             }
         }
@@ -127,33 +139,33 @@ fn propagate(tree: &PredicateTree, asg: &mut BTreeMap<ExprId, Truth>) {
 
 /// Collect only the topmost assignments: walk down from the root, stopping
 /// at the first assigned node on each path.
-fn topmost(tree: &PredicateTree, asg: &BTreeMap<ExprId, Truth>) -> Tag {
-    if asg.is_empty() {
+fn topmost(tree: &PredicateTree, slots: &[Option<Truth>]) -> Tag {
+    if slots.iter().all(Option::is_none) {
         return Tag::empty();
     }
-    let mut out: BTreeMap<ExprId, Truth> = BTreeMap::new();
+    let mut out = Vec::new();
     let mut visited = vec![false; tree.len()];
-    collect_topmost(tree, tree.root(), asg, &mut out, &mut visited);
-    Tag::from_map(&out)
+    collect_topmost(tree, tree.root(), slots, &mut out, &mut visited);
+    Tag::from_pairs(out)
 }
 
 fn collect_topmost(
     tree: &PredicateTree,
     node: ExprId,
-    asg: &BTreeMap<ExprId, Truth>,
-    out: &mut BTreeMap<ExprId, Truth>,
+    slots: &[Option<Truth>],
+    out: &mut Vec<(ExprId, Truth)>,
     visited: &mut [bool],
 ) {
-    if let Some(&v) = asg.get(&node) {
-        out.insert(node, v);
-        return;
-    }
     if visited[node.index()] {
         return;
     }
     visited[node.index()] = true;
+    if let Some(v) = slots[node.index()] {
+        out.push((node, v));
+        return;
+    }
     for &c in tree.children(node) {
-        collect_topmost(tree, c, asg, out, visited);
+        collect_topmost(tree, c, slots, out, visited);
     }
 }
 

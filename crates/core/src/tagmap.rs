@@ -25,7 +25,7 @@ use basilisk_expr::subsume::Closure;
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_types::Truth;
 
-use crate::generalize::{generalize_tag, generalize_tag_closed, root_truth};
+use crate::generalize::{generalize_tag, generalize_tag_closed, root_truth, slots_of};
 use crate::tag::Tag;
 
 /// How tag maps are built.
@@ -230,7 +230,7 @@ impl<'t> TagMapBuilder<'t> {
         let result = self.tree.is_covered(node, &|id| input.contains(id))
             || match &self.closure {
                 Some(closure) if self.tree.is_atom(node) => {
-                    closure.implied(&input.to_map(), node).is_some()
+                    closure.implied(&slots_of(self.tree, input), node).is_some()
                 }
                 _ => false,
             };

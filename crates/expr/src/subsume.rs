@@ -18,15 +18,14 @@
 //! value is non-null and satisfies `P`; `P = F` means non-null and fails
 //! `P`; `P = U` means the evaluation was unknown (a NULL was involved).
 
-use std::collections::BTreeMap;
-
 use basilisk_types::{Truth, Value};
 
 use crate::atom::{Atom, CmpOp};
 use crate::tree::{ExprId, PredicateTree};
 
 /// The implication table of one predicate tree, and the closure engine
-/// built on it.
+/// built on it. Assignment sets are dense: one `Option<Truth>` slot per
+/// tree node.
 ///
 /// [`Closure::new`] evaluates [`implied_truth`] once for every ordered
 /// atom pair and every source truth value, and keeps the resulting
@@ -70,20 +69,22 @@ impl Closure {
             .map_or(&[], |by_truth| &by_truth[truth as usize])
     }
 
-    /// Extend `assignments` with every implied atom assignment, to
-    /// fixpoint. Returns `false` if a contradiction was found (the
-    /// constrained set is empty — e.g. `x < 5 = T` together with
-    /// `x > 9 = T`), in which case `assignments` may be partially extended.
-    pub fn close(&self, assignments: &mut BTreeMap<ExprId, Truth>) -> bool {
+    /// Extend `slots` with every implied atom assignment, to fixpoint.
+    /// `slots` holds one optional truth value per tree node, indexed by
+    /// [`ExprId::index`]. Returns `false` if a contradiction was found
+    /// (the constrained set is empty — e.g. `x < 5 = T` together with
+    /// `x > 9 = T`), in which case `slots` may be partially extended.
+    pub fn close(&self, slots: &mut [Option<Truth>]) -> bool {
         loop {
             let mut changed = false;
             for &src in &self.atoms {
-                let Some(&truth) = assignments.get(&src) else {
+                let Some(truth) = slots[src.index()] else {
                     continue;
                 };
                 for &(dst, implied) in self.implications(src, truth) {
-                    if !assignments.contains_key(&dst) {
-                        assignments.insert(dst, implied);
+                    let slot = &mut slots[dst.index()];
+                    if slot.is_none() {
+                        *slot = Some(implied);
                         changed = true;
                     }
                 }
@@ -94,9 +95,12 @@ impl Closure {
         }
         // Consistency check: no assignment may contradict what a
         // lower-id assignment implies.
-        for (&a, &ta) in assignments.iter() {
+        for &a in &self.atoms {
+            let Some(ta) = slots[a.index()] else {
+                continue;
+            };
             for &(b, implied) in self.implications(a, ta) {
-                if b > a && assignments.get(&b).is_some_and(|&tb| tb != implied) {
+                if b > a && slots[b.index()].is_some_and(|tb| tb != implied) {
                     return false;
                 }
             }
@@ -104,15 +108,15 @@ impl Closure {
         true
     }
 
-    /// Would the closure of `assignments` determine `atom`? (Does not
-    /// mutate the input.)
-    pub fn implied(&self, assignments: &BTreeMap<ExprId, Truth>, atom: ExprId) -> Option<Truth> {
-        if let Some(&t) = assignments.get(&atom) {
+    /// Would the closure of `slots` determine `atom`? (Does not mutate
+    /// the input.)
+    pub fn implied(&self, slots: &[Option<Truth>], atom: ExprId) -> Option<Truth> {
+        if let Some(t) = slots[atom.index()] {
             return Some(t);
         }
-        let mut work = assignments.clone();
+        let mut work = slots.to_vec();
         self.close(&mut work);
-        work.get(&atom).copied()
+        work[atom.index()]
     }
 }
 
@@ -285,8 +289,26 @@ mod tests {
     use super::*;
     use crate::expr::{and, col, or, Expr};
 
+    use std::collections::BTreeMap;
+
     fn tree_of(e: &Expr) -> PredicateTree {
         PredicateTree::build(e)
+    }
+
+    /// Close a sparse assignment map through the dense slots.
+    fn close(closure: &Closure, tree: &PredicateTree, asg: &mut BTreeMap<ExprId, Truth>) -> bool {
+        let mut slots = vec![None; tree.len()];
+        for (&id, &t) in asg.iter() {
+            slots[id.index()] = Some(t);
+        }
+        let ok = closure.close(&mut slots);
+        asg.clear();
+        for (i, t) in slots.into_iter().enumerate() {
+            if let Some(t) = t {
+                asg.insert(ExprId(i as u32), t);
+            }
+        }
+        ok
     }
 
     fn atom_id(tree: &PredicateTree, text: &str) -> ExprId {
@@ -309,17 +331,17 @@ mod tests {
         let closure = Closure::new(&tree);
 
         let mut asg = BTreeMap::from([(a2000, Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&a1980), Some(&Truth::True));
 
         // And the contrapositive: year > 1980 = F ⇒ year > 2000 = F.
         let mut asg = BTreeMap::from([(a1980, Truth::False)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&a2000), Some(&Truth::False));
 
         // But year > 2000 = F says nothing about year > 1980.
         let mut asg = BTreeMap::from([(a2000, Truth::False)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&a1980), None);
     }
 
@@ -334,7 +356,7 @@ mod tests {
         let a7 = atom_id(&tree, "mi.score > '7.0'");
         let closure = Closure::new(&tree);
         let mut asg = BTreeMap::from([(a8, Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&a7), Some(&Truth::True));
     }
 
@@ -346,7 +368,7 @@ mod tests {
         let gt9 = atom_id(&tree, "t.x > 9");
         let closure = Closure::new(&tree);
         let mut asg = BTreeMap::from([(lt5, Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&gt9), Some(&Truth::False));
     }
 
@@ -361,7 +383,7 @@ mod tests {
         let tree = tree_of(&e);
         let closure = Closure::new(&tree);
         let mut asg = BTreeMap::from([(atom_id(&tree, "t.x = 7"), Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&atom_id(&tree, "t.x > 5")), Some(&Truth::True));
         assert_eq!(asg.get(&atom_id(&tree, "t.x < 6")), Some(&Truth::False));
         assert_eq!(asg.get(&atom_id(&tree, "t.x <> 7")), Some(&Truth::False));
@@ -380,12 +402,12 @@ mod tests {
         let lt5 = atom_id(&tree, "t.x < 5");
         let closure = Closure::new(&tree);
         let mut asg = BTreeMap::from([(small, Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&lt5), Some(&Truth::True));
         assert_eq!(asg.get(&big), Some(&Truth::True));
         // Range excludes the whole list ⇒ IN = F.
         let mut asg = BTreeMap::from([(lt5, Truth::False)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&small), Some(&Truth::False));
         assert_eq!(
             asg.get(&big),
@@ -409,18 +431,18 @@ mod tests {
 
         // IS NULL = T forces comparisons to U.
         let mut asg = BTreeMap::from([(isnull, Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&gt5), Some(&Truth::Unknown));
         assert_eq!(asg.get(&lt3), Some(&Truth::Unknown));
 
         // A definite comparison result implies non-null.
         let mut asg = BTreeMap::from([(gt5, Truth::False)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&isnull), Some(&Truth::False));
 
         // An unknown comparison implies NULL, which cascades.
         let mut asg = BTreeMap::from([(gt5, Truth::Unknown)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&isnull), Some(&Truth::True));
         assert_eq!(asg.get(&lt3), Some(&Truth::Unknown));
     }
@@ -433,7 +455,10 @@ mod tests {
         let gt9 = atom_id(&tree, "t.x > 9");
         let closure = Closure::new(&tree);
         let mut asg = BTreeMap::from([(lt5, Truth::True), (gt9, Truth::True)]);
-        assert!(!closure.close(&mut asg), "x<5 ∧ x>9 is unsatisfiable");
+        assert!(
+            !close(&closure, &tree, &mut asg),
+            "x<5 ∧ x>9 is unsatisfiable"
+        );
     }
 
     #[test]
@@ -444,7 +469,7 @@ mod tests {
         let y = atom_id(&tree, "t.y > 1");
         let closure = Closure::new(&tree);
         let mut asg = BTreeMap::from([(x, Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&y), None);
     }
 
@@ -455,7 +480,7 @@ mod tests {
         let tree = tree_of(&e);
         let closure = Closure::new(&tree);
         let mut asg = BTreeMap::from([(atom_id(&tree, "t1.x > 5"), Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.len(), 1);
     }
 
@@ -466,9 +491,10 @@ mod tests {
         let gt5 = atom_id(&tree, "t.x > 5");
         let gt3 = atom_id(&tree, "t.x > 3");
         let closure = Closure::new(&tree);
-        let asg = BTreeMap::from([(gt5, Truth::True)]);
+        let mut asg = vec![None; tree.len()];
+        asg[gt5.index()] = Some(Truth::True);
         assert_eq!(closure.implied(&asg, gt3), Some(Truth::True));
-        assert_eq!(asg.len(), 1);
+        assert_eq!(asg.iter().flatten().count(), 1);
         assert_eq!(closure.implied(&asg, gt5), Some(Truth::True));
     }
 
@@ -485,7 +511,7 @@ mod tests {
         let closure = Closure::new(&tree);
         // No pattern subsumption (conservative)...
         let mut asg = BTreeMap::from([(ab, Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&a), None);
         // ...but NULL reasoning applies.
         assert_eq!(asg.get(&atom_id(&tree, "t.s IS NULL")), Some(&Truth::False));
@@ -504,14 +530,14 @@ mod tests {
         let closure = Closure::new(&tree);
         // x < 5 = T ⇒ x <= 5 = T, x <= 6 = T, x >= 5 = F, x > 5 = F.
         let mut asg = BTreeMap::from([(atom_id(&tree, "t.x < 5"), Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&atom_id(&tree, "t.x <= 5")), Some(&Truth::True));
         assert_eq!(asg.get(&atom_id(&tree, "t.x <= 6")), Some(&Truth::True));
         assert_eq!(asg.get(&atom_id(&tree, "t.x >= 5")), Some(&Truth::False));
         assert_eq!(asg.get(&atom_id(&tree, "t.x > 5")), Some(&Truth::False));
         // x <= 5 = T does NOT imply x < 5.
         let mut asg = BTreeMap::from([(atom_id(&tree, "t.x <= 5"), Truth::True)]);
-        assert!(closure.close(&mut asg));
+        assert!(close(&closure, &tree, &mut asg));
         assert_eq!(asg.get(&atom_id(&tree, "t.x < 5")), None);
         assert_eq!(asg.get(&atom_id(&tree, "t.x > 5")), Some(&Truth::False));
     }

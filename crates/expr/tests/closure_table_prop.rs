@@ -1,7 +1,7 @@
 //! The precomputed implication table of [`Closure`] against the pairwise
 //! `implied_truth` fixpoint it replaces: on random same-column atom sets
-//! and random assignment sets, `close` must extend the assignments to the
-//! same map and agree on satisfiability.
+//! and random assignment sets, `close` must reach the same assignments and
+//! agree on satisfiability.
 
 use std::collections::BTreeMap;
 
@@ -101,10 +101,19 @@ proptest! {
         let nodes: Vec<ExprId> = (0..tree.len() as u32).map(ExprId).collect();
         let start: BTreeMap<ExprId, Truth> =
             picks.iter().map(|&(i, t)| (nodes[i % nodes.len()], t)).collect();
-        let (mut got, mut want) = (start.clone(), start);
-        let ok_got = closure.close(&mut got);
+        let mut slots = vec![None; tree.len()];
+        for (&id, &t) in &start {
+            slots[id.index()] = Some(t);
+        }
+        let mut want = start;
+        let ok_got = closure.close(&mut slots);
         let ok_want = reference_close(&tree, &mut want);
         prop_assert_eq!(ok_got, ok_want);
+        let got: BTreeMap<ExprId, Truth> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.map(|t| (ExprId(i as u32), t)))
+            .collect();
         prop_assert_eq!(got, want);
     }
 }
