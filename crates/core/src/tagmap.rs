@@ -16,7 +16,7 @@
 //! [`TagMapStrategy::Naive`] for the ablation benchmarks — it demonstrates
 //! the exponential tag blowup the paper warns about.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
 
 use basilisk_exec::FxHashMap;
@@ -133,7 +133,9 @@ type Memo<K, V> = RefCell<FxHashMap<K, V>>;
 /// measures planning time per run. Nothing is shared across calls.
 pub struct TagMapBuilder<'t> {
     tree: &'t PredicateTree,
-    closure: Option<Closure>,
+    /// The implication table, built on first use: traditional planners
+    /// also receive a builder but never consult it.
+    closure: OnceCell<Option<Closure>>,
     strategy: TagMapStrategy,
     three_valued: bool,
     finish_cache: Memo<Tag, Option<Tag>>,
@@ -146,13 +148,9 @@ pub struct TagMapBuilder<'t> {
 
 impl<'t> TagMapBuilder<'t> {
     pub fn new(tree: &'t PredicateTree, strategy: TagMapStrategy) -> Self {
-        let closure = match strategy {
-            TagMapStrategy::Generalized { use_closure: true } => Some(Closure::new(tree)),
-            _ => None,
-        };
         TagMapBuilder {
             tree,
-            closure,
+            closure: OnceCell::new(),
             strategy,
             three_valued: false,
             finish_cache: Memo::default(),
@@ -180,6 +178,18 @@ impl<'t> TagMapBuilder<'t> {
         self.strategy
     }
 
+    fn closure(&self) -> Option<&Closure> {
+        self.closure
+            .get_or_init(|| {
+                matches!(
+                    self.strategy,
+                    TagMapStrategy::Generalized { use_closure: true }
+                )
+                .then(|| Closure::new(self.tree))
+            })
+            .as_ref()
+    }
+
     /// Does Precept 1 reject this truth value at the root?
     fn root_value_dead(&self, v: Truth) -> bool {
         match v {
@@ -200,7 +210,7 @@ impl<'t> TagMapBuilder<'t> {
                     return hit.clone();
                 }
                 let result = (|| {
-                    let g = generalize_tag_closed(self.tree, self.closure.as_ref(), &tag)?;
+                    let g = generalize_tag_closed(self.tree, self.closure(), &tag)?;
                     if let Some(v) = g.get(self.tree.root()) {
                         if self.root_value_dead(v) {
                             return None;
@@ -228,7 +238,7 @@ impl<'t> TagMapBuilder<'t> {
         // the atom's outcome is already implied (`{year>2000 = T}` never
         // needs `year>1980` applied).
         let result = self.tree.is_covered(node, &|id| input.contains(id))
-            || match &self.closure {
+            || match self.closure() {
                 Some(closure) if self.tree.is_atom(node) => {
                     closure.implied(&slots_of(self.tree, input), node).is_some()
                 }
@@ -396,10 +406,7 @@ impl<'t> TagMapBuilder<'t> {
     /// *true* (§2.4 / §3.3 "restrict the set of allowed tags to only the
     /// tag with a true assignment to the root node").
     pub fn projection_tags(&self, tags: &[Tag]) -> ProjectionTags {
-        let closure = match self.strategy {
-            TagMapStrategy::Naive => None,
-            _ => self.closure.as_ref(),
-        };
+        let closure = self.closure();
         let allowed = tags
             .iter()
             .filter(|t| {
@@ -421,7 +428,7 @@ impl<'t> TagMapBuilder<'t> {
         match self.strategy {
             TagMapStrategy::Naive => Some(generalize_tag(self.tree, tag)),
             TagMapStrategy::Generalized { .. } => {
-                generalize_tag_closed(self.tree, self.closure.as_ref(), tag)
+                generalize_tag_closed(self.tree, self.closure(), tag)
             }
         }
     }

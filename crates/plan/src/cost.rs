@@ -7,6 +7,14 @@
 //! `α Σ_{I∈M} F_P · |R[I]|`; join cost decomposes into hash build, hash
 //! lookup and output-index build, with the build side chosen as the
 //! cheaper of the two (footnote 4).
+//!
+//! Planners cost many candidate plans that differ in one filter's
+//! position, so the simulation runs through a per-planning-call
+//! [`SubtreeMemo`]: each distinct subtree is simulated once, and a hit
+//! replays the subtree root's recorded cost increments in their original
+//! order, which keeps every summed cost bit-identical to a fresh walk.
+//! Only the winning candidate's [`TPlan`] is materialized, sharing the
+//! builder's tag maps.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -145,7 +153,7 @@ enum NodeKey {
 /// model)` — [`crate::planners::PlannerInput`] owns it next to them — and
 /// lives exactly as long as one planning call.
 #[derive(Default)]
-pub struct SubtreeMemo {
+pub(crate) struct SubtreeMemo {
     scans: RefCell<FxHashMap<String, Rc<SimNode>>>,
     conds: RefCell<FxHashMap<JoinCond, u32>>,
     ops: RefCell<FxHashMap<NodeKey, Rc<SimNode>>>,
@@ -189,11 +197,11 @@ impl CardAccum {
 /// Tagged costing for one planning call: the cost-model inputs plus the
 /// call's [`SubtreeMemo`].
 pub struct TaggedCoster<'a> {
-    pub tree: &'a PredicateTree,
-    pub builder: &'a TagMapBuilder<'a>,
-    pub est: &'a Estimator,
-    pub cm: &'a CostModel,
-    pub memo: &'a SubtreeMemo,
+    pub(crate) tree: &'a PredicateTree,
+    pub(crate) builder: &'a TagMapBuilder<'a>,
+    pub(crate) est: &'a Estimator,
+    pub(crate) cm: &'a CostModel,
+    pub(crate) memo: &'a SubtreeMemo,
 }
 
 impl TaggedCoster<'_> {

@@ -7,7 +7,8 @@
 //! * [`CostModel`] / [`annotate_tagged`] / [`cost_traditional`] — the §4.1
 //!   cost models. Tagged costs are sums over relational slices; the tagged
 //!   annotation pass simultaneously builds every operator's tag map by
-//!   simulating tag flow bottom-up.
+//!   simulating tag flow bottom-up; planners cost candidates through a
+//!   [`TaggedCoster`] whose subtree memo lives for one planning call.
 //! * [`benefit`] — the Appendix A benefit score (Algorithm 3) and
 //!   "benefiting order".
 //! * [`planners`] — TPushdown, TPullup (Algorithm 2), TIterPush,
@@ -29,8 +30,7 @@ mod session;
 
 pub use aplan::APlan;
 pub use cost::{
-    annotate_tagged, cost_traditional, CostModel, SubtreeMemo, TPlan, TaggedAnnotation,
-    TaggedCoster,
+    annotate_tagged, cost_traditional, CostModel, TPlan, TaggedAnnotation, TaggedCoster,
 };
 pub use executor::{
     execute_tagged, execute_tagged_traced, execute_tagged_with, execute_traditional,
