@@ -33,6 +33,7 @@ use basilisk_expr::eval::{
 use basilisk_expr::{and, col, or, Atom, CmpOp, ColumnRef, PredicateTree};
 use basilisk_storage::Column;
 use basilisk_types::{Bitmap, DataType, MaskArena, Morsel, Truth, TruthMask, Value};
+use basilisk_workload::{generate_imdb, job_queries, ImdbConfig};
 
 /// Median wall-clock nanoseconds of `f` over `samples` runs (one warmup).
 fn time_ns(samples: usize, mut f: impl FnMut() -> usize) -> f64 {
@@ -724,6 +725,46 @@ fn main() {
     net_latencies.sort_unstable();
     let net_p99_micros = net_latencies[(net_latencies.len() - 1) * 99 / 100] as f64;
 
+    // --- JOB planning: TCombined vs BDisj ---------------------------------
+    // Tagged planning costs every candidate plan TPullup and TIterPush
+    // visit, so before tags, tag maps and subtree costs were shared within
+    // a planning call it dominated end-to-end JOB time. Every JOB group in
+    // DNF form over IMDB scale 0.1, planned serially on one thread; one
+    // sample plans all 33 groups. The ratio is a property of the planner
+    // code, gated as a ceiling (`tcombined_plan_ratio_max`) on every host.
+    let mut cat_job = Catalog::new();
+    for t in generate_imdb(&ImdbConfig {
+        scale: 0.1,
+        seed: 7,
+    })
+    .unwrap()
+    {
+        cat_job.add_table(t).unwrap();
+    }
+    let job_sessions: Vec<QuerySession> = job_queries(42)
+        .into_iter()
+        .map(|q| {
+            QuerySession::new(&cat_job, q.query)
+                .unwrap()
+                .with_workers(1)
+        })
+        .collect();
+    let plan_all = |kind: PlannerKind| {
+        job_sessions
+            .iter()
+            .map(|s| usize::from(s.plan(kind).unwrap().estimated_cost() > 0.0))
+            .sum()
+    };
+    report.push(
+        "plan/job_bdisj",
+        time_ns(samples.min(10), || plan_all(PlannerKind::BDisj)),
+    );
+    report.push(
+        "plan/job_tcombined",
+        time_ns(samples.min(10), || plan_all(PlannerKind::TCombined)),
+    );
+    drop(job_sessions);
+
     // --- derived (gated) ratios -----------------------------------------
     let or_fold_speedup = report.get("or_fold/scalar") / report.get("or_fold/vectorized");
     let eval_speedup = report.get("eval/scalar") / report.get("eval/vectorized");
@@ -742,6 +783,7 @@ fn main() {
         report.get("serve/tracing_disabled") / report.get("serve/untraced_baseline");
     let compressed_vs_decoded =
         report.get("scan/decoded_selective") / report.get("scan/encoded_selective");
+    let tcombined_plan_ratio = report.get("plan/job_tcombined") / report.get("plan/job_bdisj");
     let or_fold_gelems = ROWS as f64 / report.get("or_fold/vectorized"); // elems/ns = Gelems/s
     let derived = vec![
         ("compressed_vs_decoded".to_string(), compressed_vs_decoded),
@@ -756,6 +798,7 @@ fn main() {
         ("net_overhead".to_string(), net_overhead),
         ("net_p99_micros".to_string(), net_p99_micros),
         ("trace_overhead".to_string(), trace_overhead),
+        ("tcombined_plan_ratio".to_string(), tcombined_plan_ratio),
         ("or_fold_gelems_per_s".to_string(), or_fold_gelems),
     ];
     println!(
@@ -780,6 +823,10 @@ fn main() {
     println!("  net_p99_micros       {net_p99_micros:.0} us (client-observed wire p99)");
     println!(
         "  trace_overhead       {trace_overhead:.3}x (default observability vs disabled slow log, untraced)"
+    );
+
+    println!(
+        "  tcombined_plan_ratio {tcombined_plan_ratio:.1}x (TCombined vs BDisj planning, 33 JOB groups)"
     );
 
     std::fs::write(&out_path, report.to_json(&derived)).expect("write BENCH_eval.json");
@@ -847,10 +894,12 @@ fn main() {
         ("net_overhead", net_overhead),
         ("net_p99_micros", net_p99_micros),
         ("trace_overhead", trace_overhead),
+        ("tcombined_plan_ratio", tcombined_plan_ratio),
     ] {
-        // trace_overhead is serial on one worker thread, so it measures
-        // the code on any host; only the wire metrics need 4 cores.
-        if cores < 4 && key != "trace_overhead" {
+        // trace_overhead and tcombined_plan_ratio are serial on one
+        // thread, so they measure the code on any host; only the wire
+        // metrics need 4 cores.
+        if cores < 4 && !matches!(key, "trace_overhead" | "tcombined_plan_ratio") {
             println!("gate skipped: {key} = {measured:.2} (host has {cores} core(s), need 4)");
             continue;
         }
