@@ -90,45 +90,46 @@ fn propagate(tree: &PredicateTree, slots: &mut [Option<Truth>]) {
         .ids()
         .filter(|id| slots[id.index()].is_some())
         .collect();
-    let get = |slots: &[Option<Truth>], id: &ExprId| slots[id.index()];
     while let Some(pred) = fringe.pop() {
-        let value = get(slots, &pred).expect("fringe nodes are assigned");
+        let value = slots[pred.index()].expect("fringe nodes are assigned");
         for &parent in tree.parents(pred) {
-            if get(slots, &parent).is_some() {
+            if slots[parent.index()].is_some() {
                 continue;
             }
-            let propagated =
-                match tree.kind(parent) {
-                    // (a) NOT always propagates, negating.
-                    NodeKind::Not(_) => Some(value.not()),
-                    NodeKind::Or(children) => {
-                        if value == Truth::True {
-                            // (b) true short-circuits OR.
-                            Some(Truth::True)
-                        } else if children.iter().all(|c| {
-                            matches!(get(slots, c), Some(Truth::False) | Some(Truth::Unknown))
-                        }) {
-                            // (d) all children false/unknown: 3VL OR-fold.
-                            Some(Truth::any(children.iter().map(|c| get(slots, c).unwrap())))
-                        } else {
-                            None
-                        }
+            let child = |c: &ExprId| slots[c.index()];
+            let propagated = match tree.kind(parent) {
+                // (a) NOT always propagates, negating.
+                NodeKind::Not(_) => Some(value.not()),
+                NodeKind::Or(children) => {
+                    if value == Truth::True {
+                        // (b) true short-circuits OR.
+                        Some(Truth::True)
+                    } else if children
+                        .iter()
+                        .all(|c| matches!(child(c), Some(Truth::False) | Some(Truth::Unknown)))
+                    {
+                        // (d) all children false/unknown: 3VL OR-fold.
+                        Some(Truth::any(children.iter().map(|c| child(c).unwrap())))
+                    } else {
+                        None
                     }
-                    NodeKind::And(children) => {
-                        if value == Truth::False {
-                            // (c) false short-circuits AND.
-                            Some(Truth::False)
-                        } else if children.iter().all(|c| {
-                            matches!(get(slots, c), Some(Truth::True) | Some(Truth::Unknown))
-                        }) {
-                            // (e) all children true/unknown: 3VL AND-fold.
-                            Some(Truth::all(children.iter().map(|c| get(slots, c).unwrap())))
-                        } else {
-                            None
-                        }
+                }
+                NodeKind::And(children) => {
+                    if value == Truth::False {
+                        // (c) false short-circuits AND.
+                        Some(Truth::False)
+                    } else if children
+                        .iter()
+                        .all(|c| matches!(child(c), Some(Truth::True) | Some(Truth::Unknown)))
+                    {
+                        // (e) all children true/unknown: 3VL AND-fold.
+                        Some(Truth::all(children.iter().map(|c| child(c).unwrap())))
+                    } else {
+                        None
                     }
-                    NodeKind::Atom(_) => unreachable!("atoms have no children"),
-                };
+                }
+                NodeKind::Atom(_) => unreachable!("atoms have no children"),
+            };
             if let Some(v) = propagated {
                 slots[parent.index()] = Some(v);
                 fringe.push(parent);
