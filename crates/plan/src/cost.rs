@@ -195,7 +195,7 @@ impl CardAccum {
 }
 
 /// Tagged costing for one planning call: the cost-model inputs plus the
-/// call's [`SubtreeMemo`].
+/// call's subtree memo (see [`crate::planners::PlannerInput::coster`]).
 pub struct TaggedCoster<'a> {
     pub(crate) tree: &'a PredicateTree,
     pub(crate) builder: &'a TagMapBuilder<'a>,
